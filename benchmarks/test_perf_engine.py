@@ -9,14 +9,16 @@ that introduced the engine onward:
   simulator cost models (with cross-simulator sharing),
 * **warm**  -- serial, fully populated in-process LRU: pure cost models,
 * **two-worker cold** -- empty caches, partitions spread over a 2-process
-  pool by the :class:`~repro.runner.SweepRunner`.  On a host scheduled onto
-  a single CPU the pool can only add overhead, so the measurement itself is
-  **skipped** (recorded as ``null`` plus a ``two_worker_skipped`` reason)
-  rather than published as a misleading sub-1x "speedup",
+  pool by the :class:`~repro.runner.SweepRunner`.  A two-process CPU burn
+  calibrates the host first: where two processes get less than 1.5 CPUs of
+  throughput the pool can only measure the scheduler, so the measurement
+  itself is **skipped** (recorded as ``null`` plus a ``two_worker_skipped``
+  reason and the burn ratio) rather than published as a misleading sub-1x
+  "speedup",
 * **disk-warm (tensors)** -- empty in-process LRU over a populated on-disk
   tier that stores tensors only (``store_derived=False``): generation is
-  replaced by ``.npz`` loads but every statistics GEMM reruns,
-* **disk-warm (v2 statistics entries)** -- the same over the default tier,
+  replaced by entry loads but every statistics GEMM reruns,
+* **disk-warm (statistics entries)** -- the same over the default tier,
   whose entries carry the dehydrated derived artifacts (matches, full sums,
   compressions, preprocessed variants): loads replace the GEMM work too,
   which is what makes this regime approach the in-process warm path.
@@ -28,6 +30,9 @@ import json
 import os
 import platform
 import shutil
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -36,6 +41,19 @@ from repro.engine import DiskEvaluationCache, clear_default_cache, default_cache
 from repro.experiments.sweeps import run_networks
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+#: Two processes must get at least this many CPUs of throughput (2 / the
+#: burn ratio) for the 2-worker measurement to mean anything.
+MIN_POOL_CAPACITY = 1.5
+
+_BURN = (
+    "import time\n"
+    "start = time.perf_counter()\n"
+    "total = 0\n"
+    "for i in range(1_000_000):\n"
+    "    total += i\n"
+    "print(time.perf_counter() - start)\n"
+)
 
 
 def _time_run(**kwargs) -> float:
@@ -93,24 +111,27 @@ def test_perf_engine_cold_vs_warm():
 
     # Two-worker cold: the orchestrator partitions the sweep by network and
     # runs the partitions in two worker processes, each starting cold.  The
-    # measurement is meaningless without at least two schedulable CPUs
-    # (scheduling affinity, not os.cpu_count(), is what bounds the pool:
-    # cgroup quotas / taskset shrink it below the physical count), so it is
-    # skipped -- and marked as skipped -- on single-CPU hosts instead of
-    # recording a pool-overhead number that reads like a slowdown.
-    if _usable_cpus() >= 2:
+    # measurement is meaningless without two CPUs of real throughput, which
+    # neither os.cpu_count() nor the scheduling affinity reveals (two vCPUs
+    # may share one core), so a two-process burn measures it.  Where the
+    # capacity falls short the measurement is skipped -- and marked as
+    # skipped -- instead of recording pool overhead that reads like a
+    # slowdown.
+    burn_ratio = _two_process_burn_ratio()
+    if 2.0 / burn_ratio >= MIN_POOL_CAPACITY:
         clear_default_cache()
         two_worker_cold_seconds = _time_run(workers=2)
         two_worker_skipped = None
     else:
         two_worker_cold_seconds = None
         two_worker_skipped = (
-            "host schedules onto %d CPU(s); a 2-process pool would only "
-            "measure its own overhead" % _usable_cpus()
+            "two processes burn at %.2fx the time of one (%.2f CPUs of "
+            "throughput, below %.1f); a 2-process pool would only measure "
+            "the scheduler" % (burn_ratio, 2.0 / burn_ratio, MIN_POOL_CAPACITY)
         )
 
-    # Disk-warm, twice: once over a tensor-only tier (the v1-era behaviour)
-    # and once over the default tier with v2 statistics entries.
+    # Disk-warm, twice: once over a tensor-only tier and once over the
+    # default tier, whose entries carry the derived statistics.
     tier_root = tempfile.mkdtemp(prefix="bench-eval-cache-")
     try:
         disk_warm_seconds = _time_disk_warm(
@@ -154,6 +175,7 @@ def test_perf_engine_cold_vs_warm():
             else None
         ),
         "two_worker_skipped": two_worker_skipped,
+        "two_worker_burn_ratio": round(burn_ratio, 2),
         "disk_warm_seconds": round(disk_warm_seconds, 4),
         "stats_disk_warm_seconds": round(stats_disk_warm_seconds, 4),
         "stats_disk_warm_speedup": (
@@ -183,9 +205,9 @@ def test_perf_engine_cold_vs_warm():
     # The warm path must skip all tensor generation and statistics work.
     assert warm_info["hits"] > cold_info["hits"]
     assert warm_seconds < cold_seconds
-    # The 2-worker cold sweep must beat serial cold wherever there is any
-    # parallelism to exploit (the measurement is skipped entirely above
-    # when there is none).
+    # The 2-worker cold sweep must beat serial cold wherever the host has
+    # the parallel capacity to exploit (the measurement is skipped entirely
+    # above when it has not).
     if two_worker_cold_seconds is not None:
         assert two_worker_cold_seconds < cold_seconds
     # The v2 entries must serve the derived statistics, not just tensors:
@@ -194,6 +216,33 @@ def test_perf_engine_cold_vs_warm():
     assert stats_tier_info["refreshes"] > 0  # write-back enrichment happened
     assert stats_disk_warm_seconds * 5 <= cold_seconds
     assert stats_disk_warm_seconds < disk_warm_seconds
+
+
+def _two_process_burn_ratio(rounds: int = 3) -> float:
+    """Seconds of a CPU burn run beside a twin over the seconds alone.
+
+    About 1 means two real cores; about 2 means the two processes share
+    one.  A shared host's capacity swings within seconds, so the ratio is
+    the median over ``rounds`` alone/paired rounds rather than one sample.
+    """
+
+    def burns(count: int) -> list[float]:
+        processes = [
+            subprocess.Popen([sys.executable, "-c", _BURN], stdout=subprocess.PIPE, text=True)
+            for _ in range(count)
+        ]
+        try:
+            return [float(process.communicate(timeout=60)[0]) for process in processes]
+        finally:
+            for process in processes:
+                process.kill()
+                process.wait()
+
+    ratios = []
+    for _ in range(rounds):
+        alone = burns(1)[0]
+        ratios.append(statistics.mean(burns(2)) / alone)
+    return statistics.median(ratios)
 
 
 def _usable_cpus() -> int:

@@ -52,7 +52,7 @@ Low-level access stays available for single workloads::
     print(result.cycles, result.dram_bytes, result.energy_pj)
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .api import PartitionResult, ScenarioResult, Session, default_session
 from .core import LoASConfig, LoASSimulator, ftp_layer

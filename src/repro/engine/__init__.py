@@ -11,28 +11,18 @@ The engine turns workload evaluation into a first-class, cacheable value:
   the baseline cost models consume, and
 * :class:`~repro.engine.cache.WorkloadEvaluationCache` shares evaluations
   across simulators (and across repeated sweeps) behind an LRU keyed by the
-  workload + generator fingerprint, stacked over pluggable
-  :class:`~repro.engine.backend.CacheBackend` tiers -- the on-disk
-  :class:`~repro.engine.disk_cache.DiskEvaluationCache` and the
-  network-addressed :class:`~repro.engine.backend.RemoteBackend` speaking to
-  the :mod:`repro.engine.server` daemon.
+  workload + generator fingerprint, over at most one on-disk
+  :class:`~repro.engine.disk_cache.DiskEvaluationCache` passed per call
+  (entries serialised by :mod:`repro.engine.serde`).
 
 ``SimulatorBase.simulate_workload`` pulls from the process-wide default
 cache, so running five simulators over one figure sweep generates and
 analyses each workload once instead of five times.  See ``ROADMAP.md``
-("Shared workload-evaluation engine" and "cache tiers") for how to build a
-new simulator -- or a new cache backend -- on top of the engine.
+("Shared workload-evaluation engine" and "LRU over one optional disk
+tier") for how to build a new simulator on top of the engine.
 """
 
-from .backend import (
-    CacheBackend,
-    CacheEntry,
-    CacheStats,
-    MemoryBackend,
-    RemoteBackend,
-    TieredCache,
-    build_backends,
-)
+from .backend import CacheEntry, CacheStats
 from .cache import (
     TENSOR_COUPLED_ARCH_FIELDS,
     WorkloadEvaluationCache,
@@ -42,26 +32,20 @@ from .cache import (
     generator_fingerprint,
     workload_fingerprint,
 )
-from .disk_cache import DiskBackend, DiskEvaluationCache
+from .disk_cache import DiskEvaluationCache
 from .evaluation import AnnLayerEvaluation, LayerEvaluation
 from .statistics import LayerStatistics
 
 __all__ = [
     "AnnLayerEvaluation",
-    "CacheBackend",
     "CacheEntry",
     "CacheStats",
-    "DiskBackend",
     "DiskEvaluationCache",
     "LayerEvaluation",
     "LayerStatistics",
-    "MemoryBackend",
-    "RemoteBackend",
-    "TieredCache",
     "WorkloadEvaluationCache",
     "TENSOR_COUPLED_ARCH_FIELDS",
     "arch_tensor_fingerprint",
-    "build_backends",
     "clear_default_cache",
     "default_cache",
     "generator_fingerprint",

@@ -25,20 +25,18 @@ the generator is fast-forwarded to the recorded post-generation state, so
 the caller's stream of randomness is bit-identical to having regenerated --
 downstream draws cannot diverge.
 
-Tier stack
-----------
-:class:`WorkloadEvaluationCache` orchestrates fingerprinting, generator
-fast-forwarding and write-back over a stack of
-:class:`~repro.engine.backend.CacheBackend` tiers: its own
-:class:`~repro.engine.backend.MemoryBackend` LRU on top, then any **lower
-tiers** -- the on-disk :class:`~repro.engine.DiskEvaluationCache` and/or a
-network-addressed :class:`~repro.engine.backend.RemoteBackend` -- composed
-with promote-on-hit by a :class:`~repro.engine.backend.TieredCache`.  A full
-miss publishes the freshly generated tensors to every lower tier
-immediately; once the simulators have *enriched* the evaluation (statistics
-GEMMs, LIF outputs, compressions), :meth:`flush_writebacks` re-publishes the
-entry so lower-tier hits skip that work too (the executor flushes after
-every layer).
+LRU over one optional disk tier
+-------------------------------
+:class:`WorkloadEvaluationCache` is an in-process LRU of live evaluations.
+Each :meth:`~WorkloadEvaluationCache.evaluate` call may name one
+:class:`~repro.engine.DiskEvaluationCache` below it: an LRU miss then
+consults the disk tier, and a full miss publishes the freshly generated
+tensors to it immediately.  Once the simulators have *enriched* the
+evaluation (statistics GEMMs, LIF outputs, compressions),
+:meth:`~WorkloadEvaluationCache.flush_writebacks` re-publishes the entry so
+later disk hits skip that work too (the executor flushes after every
+layer).  The tier is a per-call argument, never attached to the cache, so
+concurrent callers with different tiers cannot interfere.
 
 Generated tensors are marked non-writeable before they are shared, so a
 misbehaving simulator cannot corrupt other simulators' results.
@@ -46,19 +44,18 @@ misbehaving simulator cannot corrupt other simulators' results.
 
 from __future__ import annotations
 
-import os
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import numpy.random  # noqa: F401 -- eager: numpy loads this lazily, and the
 # first simulated workload should not pay the submodule-import cost.
 
 from ..snn.workloads import LayerWorkload
-from .backend import CacheBackend, CacheEntry, CacheStats, MemoryBackend, TieredCache
+from .backend import CacheEntry, CacheStats
 from .evaluation import LayerEvaluation
 
 __all__ = [
-    "ATTACHED_TIER",
     "CacheStats",
     "TENSOR_COUPLED_ARCH_FIELDS",
     "WorkloadEvaluationCache",
@@ -68,13 +65,6 @@ __all__ = [
     "generator_fingerprint",
     "workload_fingerprint",
 ]
-
-#: Sentinel for :meth:`WorkloadEvaluationCache.evaluate`'s ``tiers``
-#: parameter: consult whatever lower tiers are attached to the cache (the
-#: default).  Callers that own tiers pass them explicitly instead of
-#: attaching them to the process-wide cache -- an explicit stack is
-#: thread-safe and cannot leak into unrelated runs.
-ATTACHED_TIER = object()
 
 #: Auto-flush bound: evaluate() flushes the pending write-backs itself once
 #: this many accumulate, so callers that never call flush_writebacks()
@@ -150,134 +140,78 @@ class _Dirty:
     warm in-memory state, superseded artifacts included-out.
     """
 
-    __slots__ = ("key", "entry", "lower", "baseline")
+    __slots__ = ("key", "entry", "tier", "baseline")
 
-    def __init__(self, key, entry: CacheEntry, lower, baseline: tuple):
+    def __init__(self, key, entry: CacheEntry, tier, baseline: tuple):
         self.key = key
         self.entry = entry
-        self.lower = lower
+        self.tier = tier
         self.baseline = baseline
 
 
 class WorkloadEvaluationCache:
-    """LRU-topped tier stack of evaluations keyed by fingerprint.
+    """LRU of evaluations keyed by fingerprint, over an optional disk tier.
 
-    ``maxsize`` bounds the number of evaluations the in-process
-    :class:`~repro.engine.backend.MemoryBackend` holds (the paper's three
-    networks evaluated with and without fine-tuning need ~80 entries).
+    ``maxsize`` bounds the number of evaluations held in process (the
+    paper's three networks evaluated with and without fine-tuning need ~80
+    entries).  Only this level holds live :class:`CacheEntry` objects, so a
+    hit shares the very evaluation instance -- and all its memoised
+    statistics -- across simulators.
+
     The cache is thread-safe: the whole of :meth:`evaluate` -- lookup,
     fast-forward, generation and insertion -- runs under one internal lock,
     so concurrent callers sharing a cache (but not a generator) observe
     consistent entries and counters.  The coarse lock deliberately trades
     cross-thread concurrency for simplicity (generation work serialises);
     parallel sweeps scale across *processes* (:class:`repro.runner.SweepRunner`),
-    each with its own cache, sharing evaluations through the lower tiers.
-
-    **Lower tiers** (an on-disk
-    :class:`~repro.engine.DiskEvaluationCache`, a network-addressed
-    :class:`~repro.engine.backend.RemoteBackend`, or any
-    :class:`~repro.engine.backend.CacheBackend`) attach with
-    :meth:`attach_backends` (or the historical :meth:`attach_disk_tier`):
-    an in-memory miss consults them top-down with promote-on-hit, and a
-    full miss publishes the freshly generated tensors back to all of them.
+    each with its own cache, sharing evaluations through the disk tier.
     """
 
-    def __init__(self, maxsize: int = 128, disk_tier=None, backends=None):
-        self._memory = MemoryBackend(maxsize)
+    def __init__(self, maxsize: int = 128):
+        if maxsize < 1:
+            raise ValueError("maxsize must be at least 1")
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self._lock = threading.RLock()
-        if backends is not None and disk_tier is not None:
-            raise ValueError("pass either disk_tier or backends, not both")
-        if backends is not None:
-            self._lower = tuple(backends)
-        else:
-            self._lower = (disk_tier,) if disk_tier is not None else ()
-        self._lower_pid = os.getpid()
         self._dirty: list[_Dirty] = []
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        self.evictions = 0
 
     # ------------------------------------------------------------------ #
     # Introspection / configuration
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._memory)
-
-    @property
-    def maxsize(self) -> int:
-        """The LRU's entry-count bound."""
-        return self._memory.maxsize
-
-    @property
-    def evictions(self) -> int:
-        """Entries the LRU dropped to respect ``maxsize``."""
-        return self._memory.evictions
-
-    @property
-    def memory_backend(self) -> MemoryBackend:
-        """The top (in-process LRU) tier."""
-        return self._memory
-
-    @property
-    def lower_backends(self) -> tuple[CacheBackend, ...]:
-        """The attached lower tiers, top-down (empty when none attached)."""
         with self._lock:
-            return self._lower
-
-    @property
-    def disk_tier(self):
-        """The first attached on-disk tier (``None`` when there is none)."""
-        from .disk_cache import DiskEvaluationCache
-
-        with self._lock:
-            for backend in self._lower:
-                if isinstance(backend, DiskEvaluationCache):
-                    return backend
-        return None
-
-    @property
-    def lower_attached_in_process(self) -> bool:
-        """Whether the lower tiers were attached by *this* process.
-
-        ``False`` means they arrived through a ``fork`` -- live backends
-        hold locks and sockets that must not be shared across processes, so
-        worker bootstrap (:func:`repro.runner.executor._ensure_backends`)
-        rebuilds equivalent backends from specs instead of reusing them.
-        """
-        with self._lock:
-            return self._lower_pid == os.getpid()
-
-    def attach_backends(self, backends) -> None:
-        """Replace the lower-tier stack (pass ``()`` to detach everything)."""
-        with self._lock:
-            self._lower = tuple(backends)
-            self._lower_pid = os.getpid()
-
-    def attach_disk_tier(self, tier) -> None:
-        """Attach (or with ``None`` detach) a single shared lower tier.
-
-        The historical single-tier surface; :meth:`attach_backends` installs
-        a full stack.
-        """
-        self.attach_backends((tier,) if tier is not None else ())
+            return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every cached evaluation and reset the hit/miss counters.
+        """Drop every cached evaluation and reset the counters.
 
-        The lower tiers, if attached, keep their entries (they are the
-        cross-process tiers; clear them explicitly via their own
-        ``clear()``).
+        A disk tier keeps its entries (it is the cross-process tier; clear
+        it explicitly via its own ``clear()``).
         """
         with self._lock:
-            self._memory.clear()
+            self._entries.clear()
             self._dirty.clear()
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
+            self.evictions = 0
 
     def resize(self, maxsize: int) -> None:
         """Change the entry bound, evicting least-recently-used overflow now."""
-        self._memory.resize(maxsize)
+        if maxsize < 1:
+            raise ValueError("maxsize must be at least 1")
+        with self._lock:
+            self.maxsize = maxsize
+            self._evict_overflow()
+
+    def _evict_overflow(self) -> None:
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def stats(self) -> "CacheStats":
         """Snapshot of the hit/miss/eviction counters and current occupancy."""
@@ -285,10 +219,10 @@ class WorkloadEvaluationCache:
             return CacheStats(
                 hits=self.hits,
                 misses=self.misses,
-                evictions=self._memory.evictions,
-                entries=len(self._memory),
+                evictions=self.evictions,
+                entries=len(self._entries),
                 disk_hits=self.disk_hits,
-                maxsize=self._memory.maxsize,
+                maxsize=self.maxsize,
             )
 
     def cache_info(self) -> dict[str, int]:
@@ -303,8 +237,7 @@ class WorkloadEvaluationCache:
         workload: LayerWorkload,
         rng: np.random.Generator,
         finetuned: bool = False,
-        disk_tier=ATTACHED_TIER,
-        tiers=ATTACHED_TIER,
+        disk_tier=None,
     ) -> LayerEvaluation:
         """Return the (possibly cached) evaluation of ``workload``.
 
@@ -312,13 +245,8 @@ class WorkloadEvaluationCache:
         reached by regenerating, so callers sharing one generator across a
         sequence of layers observe bit-identical randomness either way.
 
-        ``tiers`` selects the lower tiers for this call: the default
-        :data:`ATTACHED_TIER` uses whatever :meth:`attach_backends`
-        installed, an explicit backend or sequence of backends uses that
-        stack without touching the attached one (so concurrent callers with
-        different tiers cannot interfere), and ``None`` / ``()`` disables
-        the lower tiers for this call.  ``disk_tier`` is the historical
-        alias of the same parameter.
+        ``disk_tier`` is the :class:`~repro.engine.DiskEvaluationCache` this
+        call reads from and publishes to (``None``: the LRU alone).
         """
         try:
             key = (workload_fingerprint(workload, finetuned), generator_fingerprint(rng))
@@ -328,63 +256,51 @@ class WorkloadEvaluationCache:
             spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
             return LayerEvaluation(spikes, weights)
         with self._lock:
-            lower = self._resolve_lower(tiers, disk_tier)
             if len(self._dirty) >= _DIRTY_FLUSH_THRESHOLD:
                 self._flush_locked()
-            stack = TieredCache((self._memory,) + lower)
-            entry, level = stack.get(key)
+            entry = self._entries.get(key)
             if entry is not None:
-                if level == 0:
-                    self.hits += 1
-                else:
-                    self.disk_hits += 1
-                    if lower:
-                        # A lower-tier hit may carry less than the simulators
-                        # are about to compute (a v1 tensor-only entry, or a
-                        # v2 entry from a run that exercised fewer
-                        # simulators); remember it so the write-back pass can
-                        # upgrade the stored entry in place.
-                        self._dirty.append(
-                            _Dirty(key, entry, lower, entry.evaluation.derived_signature())
-                        )
+                self.hits += 1
+                self._entries.move_to_end(key)
                 rng.bit_generator.state = entry.state_after
                 return entry.evaluation
-            self.misses += 1
-            spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
-            spikes.setflags(write=False)
-            weights.setflags(write=False)
-            entry = CacheEntry(LayerEvaluation(spikes, weights), rng.bit_generator.state)
-            stack.put(key, entry)
-            if lower:
+            entry = disk_tier.get(key) if disk_tier is not None else None
+            if entry is not None:
+                # A disk hit may carry less than the simulators are about
+                # to compute (an entry from a run that exercised fewer
+                # simulators); the write-back pass upgrades it in place.
+                self.disk_hits += 1
+                rng.bit_generator.state = entry.state_after
+            else:
+                self.misses += 1
+                spikes, weights = workload.generate(rng=rng, finetuned=finetuned)
+                spikes.setflags(write=False)
+                weights.setflags(write=False)
+                entry = CacheEntry(LayerEvaluation(spikes, weights), rng.bit_generator.state)
+                if disk_tier is not None:
+                    disk_tier.put(key, entry)
+            self._entries[key] = entry
+            self._evict_overflow()
+            if disk_tier is not None:
                 self._dirty.append(
-                    _Dirty(key, entry, lower, entry.evaluation.derived_signature())
+                    _Dirty(key, entry, disk_tier, entry.evaluation.derived_signature())
                 )
             return entry.evaluation
-
-    def _resolve_lower(self, tiers, disk_tier) -> tuple[CacheBackend, ...]:
-        selected = tiers if tiers is not ATTACHED_TIER else disk_tier
-        if selected is ATTACHED_TIER:
-            return self._lower
-        if selected is None:
-            return ()
-        if isinstance(selected, (list, tuple)):
-            return tuple(selected)
-        return (selected,)
 
     # ------------------------------------------------------------------ #
     # Write-back
     # ------------------------------------------------------------------ #
     def flush_writebacks(self) -> int:
-        """Re-publish enriched evaluations to their lower tiers.
+        """Re-publish enriched evaluations to their disk tiers.
 
         A full miss publishes tensors immediately, but the derived
         artifacts -- statistics GEMMs, LIF outputs, compressions,
         preprocessed children -- only exist after the simulators consumed
         the evaluation.  Calling this once they have (the sweep executor
         does so after every layer) refreshes the stored entries with the
-        dehydrated derived state, which is what makes lower-tier-warm runs
-        skip recomputation.  Entries whose evaluation gained nothing are
-        dropped silently.  Returns the number of entries re-published.
+        dehydrated derived state, which is what makes disk-warm runs skip
+        recomputation.  Entries whose evaluation gained nothing are dropped
+        silently.  Returns the number of entries re-published.
         """
         with self._lock:
             return self._flush_locked()
@@ -393,9 +309,7 @@ class WorkloadEvaluationCache:
         flushed = 0
         for dirty in self._dirty:
             if dirty.entry.evaluation.derived_signature() != dirty.baseline:
-                for backend in dirty.lower:
-                    backend.put(dirty.key, dirty.entry, replace=True)
-                dirty.entry.packed_cache = None  # bytes shared across tiers only
+                dirty.tier.put(dirty.key, dirty.entry, replace=True)
                 flushed += 1
         self._dirty.clear()
         return flushed

@@ -1,30 +1,25 @@
-"""On-disk evaluation-cache backend below the in-process LRU.
+"""On-disk evaluation-cache tier below the in-process LRU.
 
-Worker processes and repeated CLI runs each start with an empty in-memory
-:class:`~repro.engine.backend.MemoryBackend`, so without a shared tier every
-process regenerates the same random tensors.  The :class:`DiskEvaluationCache`
-(a.k.a. ``DiskBackend`` on the :class:`~repro.engine.backend.CacheBackend`
-protocol) is that shared tier: a directory of fingerprint-addressed entry
-files, one per ``(workload fingerprint, generator fingerprint)`` cache key.
-(The ``.npz`` file suffix is historical and kept for on-disk compatibility:
-v2 entries are the flat :mod:`repro.engine.serde` container, only legacy v1
-files are actual ``np.savez`` archives.)
+Worker processes and repeated CLI runs each start with an empty in-process
+LRU, so without a shared tier every process regenerates the same random
+tensors.  The :class:`DiskEvaluationCache` is that shared tier: a directory
+of fingerprint-addressed entry files, one per ``(workload fingerprint,
+generator fingerprint)`` cache key.  (The ``.npz`` file suffix is
+historical and kept so existing directories are still found and cleared;
+the files are the flat :mod:`repro.engine.serde` container.)
 
-Entry schema
-------------
-* **v2** (written today) -- the generated ``(spikes, weights)`` tensor pair,
-  the post-generation bit-generator state, *and* the dehydrated derived
-  artifacts of the evaluation (packed words, matches, full sums, the
-  statistics-profile arrays, LIF output spikes, output compressions, one
-  level of preprocessed children) via
-  :meth:`~repro.engine.evaluation.LayerEvaluation.dehydrate`.  A disk-warm
-  run therefore skips the matches/full-sums GEMM recomputation, not just
-  tensor generation.  Entries are first published tensor-only at generation
-  time and **refreshed** in place by the cache's write-back pass once the
-  simulators have enriched the evaluation.
-* **v1** (legacy, tensors + state only, no ``meta`` member) -- still loads;
-  the evaluation hydrates tensor-only and recomputes its statistics, and the
-  write-back pass upgrades the entry to v2 after its next use.
+Entry contents
+--------------
+The generated ``(spikes, weights)`` tensor pair, the post-generation
+bit-generator state, *and* the dehydrated derived artifacts of the
+evaluation (packed words, matches, full sums, the statistics-profile
+arrays, LIF output spikes, output compressions, one level of preprocessed
+children) via
+:meth:`~repro.engine.evaluation.LayerEvaluation.dehydrate`.  A disk-warm
+run therefore skips the matches/full-sums GEMM recomputation, not just
+tensor generation.  Entries are first published tensor-only at generation
+time and **refreshed** in place by the cache's write-back pass once the
+simulators have enriched the evaluation.
 
 Design constraints:
 
@@ -34,12 +29,14 @@ Design constraints:
 * **Atomicity** -- entries are written to a temporary file in the cache
   directory and published with :func:`os.replace`, so a concurrent reader
   never observes a partial entry.  A corrupt entry (e.g. a torn write from
-  a crashed process, or a v2 container whose meta names artifacts the
-  archive lacks) is deleted and treated as a miss; the workload is simply
-  regenerated.
+  a crashed process, a file in an older entry format, or a container whose
+  meta names artifacts it lacks) is deleted and treated as a miss; the
+  workload is simply regenerated.
 * **Bounded size** -- an optional ``max_bytes`` budget evicts the
   least-recently-used entries (entry files carry their last-hit time as
   mtime).
+* **Picklable** -- the tier holds no locks, sockets or open files, so the
+  sweep runner ships the tier object itself to worker processes.
 """
 
 from __future__ import annotations
@@ -49,23 +46,16 @@ import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
+from .backend import CacheEntry, CacheStats, pack_entry, unpack_entry
+from .serde import key_digest
 
-from .backend import CacheBackend, CacheEntry, CacheStats, pack_entry, unpack_entry
-from .serde import decode_state, encode_state, key_digest
-
-__all__ = ["DiskBackend", "DiskEvaluationCache"]
+__all__ = ["DiskEvaluationCache"]
 
 _ENTRY_SUFFIX = ".npz"
 
-# Back-compat aliases: these helpers lived here before they were shared with
-# the remote wire format through repro.engine.serde.
-_encode_state = encode_state
-_decode_state = decode_state
 
-
-class DiskEvaluationCache(CacheBackend):
-    """Keyed on-disk store of evaluated workloads (the ``DiskBackend``).
+class DiskEvaluationCache:
+    """Keyed on-disk store of evaluated workloads.
 
     Parameters
     ----------
@@ -80,7 +70,7 @@ class DiskEvaluationCache(CacheBackend):
         budget smaller than one entry still caches the current workload).
     store_derived:
         When ``False`` the tier strips the derived artifacts and persists
-        tensors + state only (v1-sized entries) -- for space-constrained
+        tensors + state only -- for space-constrained
         tiers, and for benchmarking the statistics persistence itself.
     """
 
@@ -125,21 +115,18 @@ class DiskEvaluationCache(CacheBackend):
     def entry_path(self, key) -> Path:
         """File holding the entry for ``key`` (exists only after a store).
 
-        The address is :func:`repro.engine.serde.key_digest` -- the same
-        digest the remote tier keys its frames by.
+        The address is :func:`repro.engine.serde.key_digest`.
         """
         return self.directory / (key_digest(key) + _ENTRY_SUFFIX)
 
     # ------------------------------------------------------------------ #
-    # Backend protocol
+    # Entries
     # ------------------------------------------------------------------ #
     def get(self, key) -> CacheEntry | None:
         """The hydrated entry for ``key``, or ``None`` on a miss.
 
         A corrupt or partially written entry counts as a miss: the file is
         deleted so the caller's regeneration can re-publish a clean one.
-        v1 entries hydrate tensor-only (their evaluation recomputes derived
-        statistics on demand).
         """
         path = self.entry_path(key)
         try:
@@ -148,8 +135,8 @@ class DiskEvaluationCache(CacheBackend):
             self.misses += 1
             return None
         except Exception:
-            # Torn write / truncated zip / bad JSON / meta naming artifacts
-            # the archive lacks: drop the entry.
+            # Torn write / foreign bytes / bad JSON / meta naming artifacts
+            # the container lacks: drop the entry.
             self.corrupt_dropped += 1
             self.misses += 1
             try:
@@ -200,29 +187,6 @@ class DiskEvaluationCache(CacheBackend):
             except OSError:
                 pass
             raise
-
-    def spec(self) -> tuple:
-        return ("disk", str(self.directory), self.max_bytes, self.store_derived)
-
-    # ------------------------------------------------------------------ #
-    # Legacy tensor-level interface
-    # ------------------------------------------------------------------ #
-    def load(self, key) -> tuple[np.ndarray, np.ndarray, dict] | None:
-        """Return ``(spikes, weights, state_after)`` or ``None`` on a miss.
-
-        The pre-protocol interface; :meth:`get` returns the full hydrated
-        entry instead.
-        """
-        entry = self.get(key)
-        if entry is None:
-            return None
-        return entry.evaluation.spikes, entry.evaluation.weights, entry.state_after
-
-    def store(self, key, spikes: np.ndarray, weights: np.ndarray, state_after: dict) -> None:
-        """Publish a tensor-only entry for ``key`` (no-op if present)."""
-        from .evaluation import LayerEvaluation
-
-        self.put(key, CacheEntry(LayerEvaluation(spikes, weights), state_after))
 
     # ------------------------------------------------------------------ #
     # Path protocol
@@ -325,7 +289,3 @@ class DiskEvaluationCache(CacheBackend):
             total_bytes=total,
         )
 
-
-#: The protocol-flavoured name of the tier (``backend.py`` documents the
-#: stack; the class itself predates the protocol and keeps its import path).
-DiskBackend = DiskEvaluationCache

@@ -1,40 +1,28 @@
-"""Shared serialisation for the evaluation-cache tiers.
+"""Serialisation of evaluation-cache entries (the disk tier's byte format).
 
-Every tier below the in-process LRU moves the same value around -- a cache
-entry holding the generated tensors, the post-generation bit-generator state
-and the dehydrated derived artifacts -- so the byte format lives here, in one
-place, and is reused verbatim by the on-disk tier (entry *files*) and the
-network tier (entry *frames*):
+The disk tier stores one value per cache key -- the generated tensors, the
+post-generation bit-generator state and the dehydrated derived artifacts --
+and the byte format of that value lives here:
 
 * :func:`encode_state` / :func:`decode_state` -- the JSON round-trip of a
   ``numpy`` bit-generator state (arbitrary-precision integers natively,
   ndarray-valued fields -- e.g. Philox keys -- via a base64 envelope).
-  Historically private to ``disk_cache.py``; shared now so the disk entry
-  format and the remote wire format cannot drift apart.
 * :func:`pack_payload` / :func:`unpack_payload` -- an ``{name: ndarray}``
-  mapping plus a JSON ``meta`` record as one byte string.  v2 entries use a
-  flat container (one JSON header, then the raw C-order array blobs): a v2
-  entry holds a dozen-plus derived arrays and ``np.savez``'s per-member
-  zipfile machinery costs more than the GEMMs the entry exists to skip,
-  whereas the flat layout decodes with one read and ``np.frombuffer``
-  slices.  The **v1** entry format (a ``.npz`` holding tensors + state
-  only) decodes through the same reader -- the zip magic routes it to
-  ``np.load`` and a missing ``meta`` member yields ``{"schema": 1}``.
+  mapping plus a JSON ``meta`` record as one byte string: a flat container
+  (magic, one JSON header, then the raw C-order array blobs).  An entry
+  holds a dozen-plus derived arrays and ``np.savez``'s per-member zipfile
+  machinery costs more than the GEMMs the entry exists to skip, whereas
+  the flat layout decodes with one read and ``np.frombuffer`` slices.
 * :func:`key_digest` -- the stable cross-process address of a cache key
-  (the SHA-256 of the fingerprint tuple's ``repr``), used both as the disk
-  entry file name and as the wire key of the remote tier.
-* :func:`write_frame` / :func:`read_frame` -- the length-prefixed framing
-  of the remote tier's socket protocol (one opcode byte, an 8-byte
-  big-endian payload length, the payload).
+  (the SHA-256 of the fingerprint tuple's ``repr``), used as the disk
+  entry file name.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import io
 import json
-import socket
 import struct
 
 import numpy as np
@@ -45,16 +33,12 @@ __all__ = [
     "encode_state",
     "key_digest",
     "pack_payload",
-    "read_frame",
     "unpack_payload",
-    "write_frame",
 ]
 
 _NDARRAY_TAG = "__ndarray__"
 
-#: Reserved array name: the v2 header stores the meta record under it, and
-#: legacy ``.npz`` containers may carry it as a member (absent from v1
-#: entries, which decode as ``{"schema": 1}``).
+#: Reserved array name: the container header stores the meta record under it.
 META_MEMBER = "meta"
 
 
@@ -105,7 +89,7 @@ def key_digest(key) -> str:
 # --------------------------------------------------------------------- #
 # Entry payload <-> bytes
 # --------------------------------------------------------------------- #
-#: v2 flat-container magic (v1 entries are zip archives starting ``PK``).
+#: Flat-container magic; bytes without it are not an entry.
 _MAGIC = b"RPRC\x02\n"
 _HEADER_LENGTH = struct.Struct(">Q")
 
@@ -130,7 +114,8 @@ def _storage_form(array: np.ndarray) -> tuple[np.ndarray, str]:
     * a **binary** integer/bool array (values 0/1 only) is bit-packed
       8-to-a-byte (``np.packbits``),
     * an integer array whose range fits a narrower kin dtype is downcast,
-    * an integer-*valued* float64 array within int32 range is stored int32.
+    * an integer-*valued* float64 array within int32 range, holding no
+      negative zero, is stored as the narrowest fitting signed integer.
 
     :func:`unpack_payload` reverses the form and casts back to the recorded
     original dtype, so the round-trip reproduces every value (and the
@@ -158,6 +143,8 @@ def _storage_form(array: np.ndarray) -> tuple[np.ndarray, str]:
                 np.all(np.isfinite(array))
                 and np.all(np.abs(array) <= bound)
                 and np.all(array == np.trunc(array))
+                # -0.0 equals 0 but an integer cannot carry its sign bit.
+                and not np.any(np.signbit(array) & (array == 0))
             )
         if exact:
             low, high = int(array.min()), int(array.max())
@@ -258,17 +245,15 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
     Decoded arrays are read-only ``np.frombuffer`` views over ``data`` (no
     copy; entries are shared read-only anyway).  Names listed in ``defer``
     come back as :class:`DeferredArray` handles instead of decoded arrays.
-    A zip container is a **v1** entry (``np.savez`` tensors + state, no
-    ``meta`` member) and decodes eagerly with ``meta == {"schema": 1}`` so
-    callers can hydrate tensor-only.  Raises on a torn or corrupt container
-    (callers treat that as a miss).
+    Raises on a torn or corrupt container, or on bytes that do not start
+    with the container magic (callers treat either as a miss).
     """
     if not data.startswith(_MAGIC):
-        return _unpack_npz(data)
+        raise ValueError("not an evaluation-cache entry container")
     offset = len(_MAGIC)
     (header_length,) = _HEADER_LENGTH.unpack_from(data, offset)
     offset += _HEADER_LENGTH.size
-    if header_length > len(data):
+    if offset + header_length > len(data):
         raise ValueError("entry header overruns the container")
     record = json.loads(data[offset : offset + header_length].decode("utf-8"))
     offset += header_length
@@ -285,57 +270,3 @@ def unpack_payload(data: bytes, defer=frozenset()) -> tuple[dict, dict]:
     if offset != len(data):
         raise ValueError("entry container has trailing bytes")
     return arrays, record["meta"]
-
-
-def _unpack_npz(data: bytes) -> tuple[dict, dict]:
-    """Decode a legacy ``.npz`` (v1) entry container."""
-    with np.load(io.BytesIO(data)) as npz:
-        arrays = {name: npz[name] for name in npz.files if name != META_MEMBER}
-        if META_MEMBER in npz.files:
-            meta = json.loads(bytes(npz[META_MEMBER]).decode("utf-8"))
-        else:
-            meta = {"schema": 1}
-    return arrays, meta
-
-
-# --------------------------------------------------------------------- #
-# Wire framing (remote tier)
-# --------------------------------------------------------------------- #
-_FRAME_HEADER = struct.Struct(">cQ")
-
-#: Upper bound on a single frame's payload; a frame claiming more is treated
-#: as protocol corruption (protects both sides from allocating on garbage).
-MAX_FRAME_BYTES = 1 << 32
-
-
-def write_frame(sock: socket.socket, op: bytes, payload: bytes = b"") -> None:
-    """Send one ``op`` frame (a single opcode byte plus its payload)."""
-    if len(op) != 1:
-        raise ValueError("frame opcode must be a single byte")
-    sock.sendall(_FRAME_HEADER.pack(op, len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> tuple[bytes, bytes]:
-    """Receive one frame: ``(op, payload)``.
-
-    Raises :class:`ConnectionError` when the peer closes mid-frame and
-    :class:`ValueError` on a corrupt header -- both make the remote tier
-    degrade to the tiers below it rather than fail the sweep.
-    """
-    header = _recv_exact(sock, _FRAME_HEADER.size)
-    op, length = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError("frame length %d exceeds protocol bound" % (length,))
-    return op, _recv_exact(sock, length)

@@ -14,14 +14,13 @@ in three steps:
    cache still gets full cross-simulator sharing), which bounds peak cache
    residency on very large networks.
 3. **Execute** -- serially in-process, or across a ``multiprocessing`` pool
-   (``workers >= 2``).  The runner owns a **stack of lower cache tiers**
-   (the on-disk tier from ``cache_dir``, the network-addressed remote tier
-   from ``cache_url``, or any explicit ``backends``): the serial path passes
-   the stack per evaluation, worker processes reattach equivalent backends
-   from picklable specs after ``fork``/``spawn`` (live backends hold locks
-   and sockets and must not cross process boundaries), and after every layer
-   the executor flushes the cache's write-backs so the stored entries carry
-   the derived statistics the simulators just computed.
+   (``workers >= 2``).  The runner owns at most one on-disk cache tier
+   (``cache_dir``) and hands it to :func:`_execute_partition` as an
+   argument on both paths: the pool pickles the
+   :class:`~repro.engine.DiskEvaluationCache` itself (it holds no locks or
+   open files) into every task.  After every layer the executor flushes the
+   cache's write-backs so the stored entries carry the derived statistics
+   the simulators just computed.
 
 Execution is **incremental**: :meth:`SweepRunner.iter_partitions` yields each
 partition's results the moment they are available (in plan order serially,
@@ -46,14 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..baselines import ann_layer_tensors
-from ..engine import (
-    AnnLayerEvaluation,
-    DiskEvaluationCache,
-    RemoteBackend,
-    build_backends,
-    default_cache,
-)
-from ..engine.cache import ATTACHED_TIER
+from ..engine import AnnLayerEvaluation, DiskEvaluationCache, default_cache
 from ..metrics.results import SimulationResult, aggregate_results
 from ..snn.workloads import NetworkWorkload
 from .scenario import SweepCell, SweepPlan
@@ -109,7 +101,7 @@ class SweepResults:
 
 
 def _execute_partition(
-    cells: Sequence[SweepCell], config, tiers=ATTACHED_TIER
+    cells: Sequence[SweepCell], config, disk_tier: DiskEvaluationCache | None = None
 ) -> list[SimulationResult]:
     """Run one partition: all simulators of one ``(workload, seed)`` group.
 
@@ -118,14 +110,11 @@ def _execute_partition(
     like the historical per-simulator serial walks) and every simulator of
     the partition consumes the shared evaluation before the next layer.
 
-    ``tiers`` is forwarded to :meth:`WorkloadEvaluationCache.evaluate`:
-    worker processes leave the default (their process-wide attached stack),
-    the serial path passes the runner's own tier stack explicitly so
-    concurrent in-process runs with different tiers never interfere.  After
-    each layer's simulators have run, the cache's write-backs are flushed:
-    the evaluation is maximally enriched exactly then (statistics,
-    compressions, preprocessed variants), so the lower tiers store derived
-    state instead of bare tensors.
+    ``disk_tier`` is forwarded to :meth:`WorkloadEvaluationCache.evaluate`.
+    After each layer's simulators have run, the cache's write-backs are
+    flushed: the evaluation is maximally enriched exactly then (statistics,
+    compressions, preprocessed variants), so the tier stores derived state
+    instead of bare tensors.
     """
     workload_spec = cells[0].workload
     seed = cells[0].seed
@@ -138,7 +127,9 @@ def _execute_partition(
     per_cell: list[list[SimulationResult]] = [[] for _ in cells]
     for layer in layers:
         evaluations = {
-            variant: cache.evaluate(layer, rngs[variant], finetuned=variant, tiers=tiers)
+            variant: cache.evaluate(
+                layer, rngs[variant], finetuned=variant, disk_tier=disk_tier
+            )
             for variant in variants
         }
         for index, cell in enumerate(cells):
@@ -159,37 +150,9 @@ def _execute_partition(
 
 
 def _pool_task(payload) -> tuple[int, list[SimulationResult]]:
-    """Worker-process entry point: reattach the tier stack, run one partition."""
-    ordinal, cells, config, backend_specs = payload
-    _ensure_backends(backend_specs)
-    return ordinal, _execute_partition(cells, config)
-
-
-def _ensure_backends(specs) -> None:
-    """Idempotently attach the shared lower-tier stack to this process's cache.
-
-    Worker processes receive picklable backend *specs* rather than live
-    backends (which hold locks and sockets): under ``fork`` an inherited
-    remote connection would be shared -- and corrupted -- across processes,
-    under ``spawn`` nothing survives at all.  Rebuilding from specs gives
-    every worker fresh, equivalent tiers; the comparison keeps reattachment
-    idempotent across the many partitions one worker may execute.
-    """
-    if not specs:
-        return
-    cache = default_cache()
-    current = tuple(backend.spec() for backend in cache.lower_backends)
-    if current == tuple(specs) and cache.lower_attached_in_process:
-        return
-    cache.attach_backends(build_backends(specs))
-
-
-def _ensure_disk_tier(cache_dir, max_bytes=None) -> None:
-    """Back-compat shim: attach a single shared disk tier to this process."""
-    if cache_dir is None:
-        return
-    tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=max_bytes)
-    _ensure_backends((tier.spec(),))
+    """Worker-process entry point: run one partition over the shipped tier."""
+    ordinal, cells, config, disk_tier = payload
+    return ordinal, _execute_partition(cells, config, disk_tier)
 
 
 class SweepRunner:
@@ -204,21 +167,10 @@ class SweepRunner:
         The shared on-disk evaluation-cache tier: a directory path, or an
         already-constructed :class:`~repro.engine.DiskEvaluationCache` whose
         counters the caller wants to keep (``repro.api.Session`` passes its
-        own tier so ``cache stats`` report across runs).
-    cache_url:
-        The network-addressed evaluation-cache tier: a ``host:port`` of a
-        running ``python -m repro cache serve`` daemon, or an
-        already-constructed :class:`~repro.engine.RemoteBackend`.  Stacked
-        *below* the disk tier (memory, then disk, then remote); an
-        unreachable daemon degrades the stack with a single warning.
-    backends:
-        Explicit lower-tier stack (any
-        :class:`~repro.engine.CacheBackend` sequence, top-down), overriding
-        the ``cache_dir`` / ``cache_url`` convenience parameters.  Whatever
-        the stack, serial runs pass it per evaluation instead of mutating
-        the process-wide cache (so concurrent in-process runs with
-        different tiers cannot interfere) and worker processes reattach
-        equivalent backends from picklable specs after ``fork``/``spawn``.
+        own tier so ``cache stats`` report across runs).  Serial runs pass
+        it per evaluation instead of attaching it to the process-wide cache
+        (so concurrent in-process runs with different tiers cannot
+        interfere); pool runs pickle it into every task.
     mp_context:
         Optional multiprocessing start-method name (``"fork"`` / ``"spawn"``);
         defaults to ``fork`` where available (POSIX) and ``spawn`` elsewhere.
@@ -234,41 +186,18 @@ class SweepRunner:
         cache_dir=None,
         mp_context: str | None = None,
         disk_max_bytes: int | None = None,
-        cache_url=None,
-        backends=None,
     ):
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = workers or 0
         self.mp_context = mp_context
-        if backends is not None:
-            if cache_dir is not None or cache_url is not None:
-                raise ValueError("pass either backends or cache_dir/cache_url, not both")
-            self.backends = tuple(backends)
-        else:
-            stack = []
-            disk = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
-            if disk is not None:
-                stack.append(disk)
-            remote = RemoteBackend.coerce(cache_url)
-            if remote is not None:
-                stack.append(remote)
-            self.backends = tuple(stack)
-        #: The first on-disk tier of the stack (``None`` without one); kept
-        #: as an attribute because provenance and ``cache stats`` report it.
-        self.disk_tier = next(
-            (b for b in self.backends if isinstance(b, DiskEvaluationCache)), None
-        )
-        #: The first remote tier of the stack (``None`` without one).
-        self.remote_tier = next(
-            (b for b in self.backends if isinstance(b, RemoteBackend)), None
-        )
+        #: The on-disk tier (``None`` without one); kept as an attribute
+        #: because provenance and ``cache stats`` report it.
+        self.disk_tier = DiskEvaluationCache.coerce(cache_dir, max_bytes=disk_max_bytes)
         #: The tier's directory as a plain string (whatever form was passed).
         self.cache_dir = (
             str(self.disk_tier.directory) if self.disk_tier is not None else None
         )
-        #: The remote tier's URL as a plain string.
-        self.cache_url = self.remote_tier.url if self.remote_tier is not None else None
 
     def run(self, plan: SweepPlan) -> SweepResults:
         """Execute every cell of ``plan`` and return the results.
@@ -300,19 +229,12 @@ class SweepRunner:
         return self._iter_serial(plan, partitions)
 
     # ------------------------------------------------------------------ #
-    # Execution backends
+    # Execution paths
     # ------------------------------------------------------------------ #
     def _iter_serial(self, plan: SweepPlan, partitions):
-        # The runner's tier stack travels as an explicit evaluate() argument,
-        # not by mutating the process-wide cache's attached tiers:
-        # interleaved or concurrent in-process runs (streams, threads)
-        # therefore cannot detach each other's tiers or leak these into
-        # unrelated runs.  Without an own stack, whatever the caller
-        # attached globally stays in effect (ATTACHED_TIER).
-        tiers = self.backends if self.backends else ATTACHED_TIER
         for ordinal, indices in enumerate(partitions):
             yield ordinal, indices, _execute_partition(
-                [plan.cells[i] for i in indices], plan.config, tiers=tiers
+                [plan.cells[i] for i in indices], plan.config, self.disk_tier
             )
 
     def _iter_pool(self, plan: SweepPlan, partitions):
@@ -320,9 +242,8 @@ class SweepRunner:
         if method is None:
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
-        specs = tuple(backend.spec() for backend in self.backends)
         payloads = [
-            (ordinal, tuple(plan.cells[i] for i in indices), plan.config, specs)
+            (ordinal, tuple(plan.cells[i] for i in indices), plan.config, self.disk_tier)
             for ordinal, indices in enumerate(partitions)
         ]
         processes = min(self.workers, len(payloads))

@@ -30,7 +30,13 @@ from repro.api import (
     default_session,
 )
 from repro.api.cli import main as cli_main
-from repro.engine import CacheStats, DiskEvaluationCache, WorkloadEvaluationCache
+from repro.engine import (
+    CacheEntry,
+    CacheStats,
+    DiskEvaluationCache,
+    LayerEvaluation,
+    WorkloadEvaluationCache,
+)
 from repro.runner import Scenario, SimulatorSpec, register_scenario, run_scenario
 from repro.runner.scenario import _SCENARIOS
 from repro.snn.workloads import LayerWorkload, SparsityProfile
@@ -147,8 +153,9 @@ class TestSessionPolicy:
         stream = session.stream("fig5-psum-traffic", layers=("V-L8", "A-L4"), scale=SCALE)
         next(stream)  # start it, then abandon mid-sweep
         stream.close()
-        assert default_cache().disk_tier is not session.disk_tier  # never attached
-        # ...so an unrelated tier-less run no longer writes into the dir.
+        # The tier is a per-call argument, never attached to the process-wide
+        # cache, so an unrelated tier-less run does not write into the dir.
+        default_cache().clear()
         before = len(session.disk_tier)
         Session().run("fig5-psum-traffic", layers=("V-L8",), scale=0.05)
         assert len(session.disk_tier) == before
@@ -174,9 +181,12 @@ class TestSessionPolicy:
         next(second)
         assert first.collect().payload == reference.payload
         assert second.collect().payload == reference.payload
-        # Neither stream's completion left the session tier attached to the
-        # process-wide cache.
-        assert default_cache().disk_tier is not session.disk_tier
+        # Neither stream left the session tier behind in the process-wide
+        # cache: a tier-less run writes nothing into its directory.
+        default_cache().clear()
+        before = len(session.disk_tier)
+        Session().run("fig5-psum-traffic", layers=("V-L8",), scale=SCALE)
+        assert len(session.disk_tier) == before
 
     def test_session_mp_context_reaches_bespoke_sweeps(self):
         session = Session(workers=2, mp_context="spawn")
@@ -434,8 +444,8 @@ class TestCacheStats:
         state = {"state": 0}
         spikes = np.ones((4, 8, 2), dtype=np.uint8)
         weights = np.ones((8, 4), dtype=np.int8)
-        tier.store(("a",), spikes, weights, state)
-        tier.store(("b",), spikes, weights, state)  # pushes "a" out
+        tier.put(("a",), CacheEntry(LayerEvaluation(spikes, weights), state))
+        tier.put(("b",), CacheEntry(LayerEvaluation(spikes, weights), state))  # pushes "a" out
         stats = tier.stats()
         assert stats.stores == 2
         assert stats.evictions >= 1

@@ -1,36 +1,29 @@
-"""Tiered cache architecture: v2 entries, degradation, remote tier, identity.
+"""Evaluation cache: entry format, degradation, serde losslessness, identity.
 
-The pluggable backend stack must be invisible to results: scenario sweeps
-are bit-identical whether evaluations come from regeneration, the memory
-LRU, a disk tier (v1 tensor-only or v2 statistics entries), or the
-network-addressed remote daemon -- serial and pooled alike.  Degraded tiers
-(torn v2 payloads, legacy v1 entries, a dead daemon) must shrink the stack,
-never fail the sweep.
+The LRU over its optional disk tier must be invisible to results: scenario
+sweeps are bit-identical whether evaluations come from regeneration, the
+LRU or disk entries carrying derived statistics -- serial and pooled
+alike.  Degraded entries (torn payloads, files in the retired zip format)
+must be dropped and regenerated, never fail the sweep.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import socket
-import warnings
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import LoASSimulator
-from repro.engine import (
-    DiskEvaluationCache,
-    MemoryBackend,
-    RemoteBackend,
-    TieredCache,
-    WorkloadEvaluationCache,
-    clear_default_cache,
-)
+from repro.engine import DiskEvaluationCache, WorkloadEvaluationCache, clear_default_cache
 from repro.engine.backend import CacheEntry, pack_entry, unpack_entry
 from repro.engine.cache import generator_fingerprint, workload_fingerprint
-from repro.engine.serde import encode_state, pack_payload
-from repro.engine.server import EvaluationCacheServer
+from repro.engine.serde import DeferredArray, encode_state, pack_payload, unpack_payload
 from repro.snn.network import LayerShape
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 
@@ -54,20 +47,11 @@ def tier(tmp_path) -> DiskEvaluationCache:
     return DiskEvaluationCache(tmp_path / "evals")
 
 
-@pytest.fixture
-def cache_server():
-    server = EvaluationCacheServer(("127.0.0.1", 0))
-    server.start_background()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def consumed_evaluation(cache: WorkloadEvaluationCache, workload, seed=3, preprocess=True):
+def consumed_evaluation(
+    cache: WorkloadEvaluationCache, workload, seed=3, preprocess=True, disk_tier=None
+):
     """Evaluate and run a simulator over the result (enriching it)."""
-    evaluation = cache.evaluate(workload, np.random.default_rng(seed))
+    evaluation = cache.evaluate(workload, np.random.default_rng(seed), disk_tier=disk_tier)
     result = LoASSimulator().simulate_workload(workload, evaluation=evaluation)
     if preprocess:
         LoASSimulator().simulate_workload(
@@ -119,14 +103,14 @@ class TestDehydration:
 # --------------------------------------------------------------------- #
 class TestDiskV2:
     def test_writeback_enriches_the_stored_entry(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        _, reference = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        _, reference = consumed_evaluation(cache, tiny_workload, disk_tier=tier)
         assert tier.stores == 1 and tier.refreshes == 0
         assert cache.flush_writebacks() == 1
         assert tier.refreshes == 1
 
-        cold = WorkloadEvaluationCache(disk_tier=tier)
-        loaded = cold.evaluate(tiny_workload, np.random.default_rng(3))
+        cold = WorkloadEvaluationCache()
+        loaded = cold.evaluate(tiny_workload, np.random.default_rng(3), disk_tier=tier)
         assert cold.disk_hits == 1 and cold.misses == 0
         assert "matches" in loaded.__dict__  # statistics served from disk
         assert loaded._compressions  # compression served from disk
@@ -135,20 +119,20 @@ class TestDiskV2:
 
     def test_store_derived_false_strips_the_derived_state(self, tmp_path, tiny_workload):
         tier = DiskEvaluationCache(tmp_path / "evals", store_derived=False)
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        consumed_evaluation(cache, tiny_workload, disk_tier=tier)
         cache.flush_writebacks()
         assert tier.refreshes == 0  # nothing to enrich a tensor-only tier with
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
-            tiny_workload, np.random.default_rng(3)
+        loaded = WorkloadEvaluationCache().evaluate(
+            tiny_workload, np.random.default_rng(3), disk_tier=tier
         )
         assert "matches" not in loaded.__dict__
 
     def test_unflushed_entries_stay_tensor_only_but_loadable(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        cache.evaluate(tiny_workload, np.random.default_rng(3))
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
-            tiny_workload, np.random.default_rng(3)
+        cache = WorkloadEvaluationCache()
+        cache.evaluate(tiny_workload, np.random.default_rng(3), disk_tier=tier)
+        loaded = WorkloadEvaluationCache().evaluate(
+            tiny_workload, np.random.default_rng(3), disk_tier=tier
         )
         assert "matches" not in loaded.__dict__
         assert np.array_equal(
@@ -160,10 +144,10 @@ class TestDiskV2:
 
 
 # --------------------------------------------------------------------- #
-# Degradation: v1 entries, torn payloads, dead remote
+# Degradation: retired zip entries, torn payloads
 # --------------------------------------------------------------------- #
 def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
-    """Publish a legacy (pre-refactor ``np.savez``) tensor-only entry."""
+    """Publish an entry in the retired ``np.savez`` (v1) format."""
     rng = np.random.default_rng(seed)
     key = (workload_fingerprint(workload, False), generator_fingerprint(rng))
     spikes, weights = workload.generate(rng=rng)
@@ -182,47 +166,44 @@ def write_v1_entry(tier: DiskEvaluationCache, workload, seed: int):
 
 
 class TestDegradation:
-    def test_v1_entry_hydrates_tensor_only(self, tier, tiny_workload):
+    def test_v1_entry_is_dropped_and_regenerated_as_flat_container(
+        self, tier, tiny_workload
+    ):
+        key = write_v1_entry(tier, tiny_workload, seed=3)
+        path = tier.entry_path(key)
+        assert path.read_bytes().startswith(b"PK")  # a zip archive
+        # The zip bytes fail the container magic: a counted, deleted miss.
+        assert tier.get(key) is None
+        assert tier.corrupt_dropped == 1
+        assert not path.exists()
+
+        # Through the cache: the workload is regenerated bit-identically and
+        # the rewritten entry is a flat container.
         write_v1_entry(tier, tiny_workload, seed=3)
         reference = LoASSimulator().simulate_workload(
             tiny_workload, rng=np.random.default_rng(3)
         )
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        rng = np.random.default_rng(3)
-        loaded = cache.evaluate(tiny_workload, rng)
-        assert cache.disk_hits == 1 and tier.corrupt_dropped == 0
-        assert "matches" not in loaded.__dict__  # tensor-only hydration
-        result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
-        assert_simulations_identical(result, reference)
-        # The generator fast-forwards exactly as with a v2 hit.
-        regen = np.random.default_rng(3)
-        tiny_workload.generate(rng=regen)
-        assert rng.bit_generator.state == regen.bit_generator.state
-
-    def test_v1_entry_is_upgraded_to_v2_by_the_writeback(self, tier, tiny_workload):
-        key = write_v1_entry(tier, tiny_workload, seed=3)
-        assert tier.entry_path(key).read_bytes().startswith(b"PK")  # zip (v1)
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        consumed_evaluation(cache, tiny_workload, preprocess=False)
-        assert cache.flush_writebacks() == 1
-        assert tier.refreshes == 1
-        assert not tier.entry_path(key).read_bytes().startswith(b"PK")  # flat (v2)
-        loaded = WorkloadEvaluationCache(disk_tier=tier).evaluate(
-            tiny_workload, np.random.default_rng(3)
+        cache = WorkloadEvaluationCache()
+        regenerated, result = consumed_evaluation(
+            cache, tiny_workload, preprocess=False, disk_tier=tier
         )
-        assert "matches" in loaded.__dict__
+        assert tier.corrupt_dropped == 2
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert "matches" in regenerated.__dict__
+        assert_simulations_identical(result, reference)
+        assert path.read_bytes().startswith(b"RPRC\x02\n")
 
     def test_torn_v2_statistics_payload_falls_back_to_recompute(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        _, reference = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        _, reference = consumed_evaluation(cache, tiny_workload, disk_tier=tier)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
         payload = entry_file.read_bytes()
         entry_file.write_bytes(payload[: int(len(payload) * 0.6)])  # torn write
 
-        cold = WorkloadEvaluationCache(disk_tier=tier)
+        cold = WorkloadEvaluationCache()
         rng = np.random.default_rng(3)
-        regenerated = cold.evaluate(tiny_workload, rng)
+        regenerated = cold.evaluate(tiny_workload, rng, disk_tier=tier)
         assert tier.corrupt_dropped == 1
         assert cold.misses == 1 and cold.disk_hits == 0
         result = LoASSimulator().simulate_workload(tiny_workload, evaluation=regenerated)
@@ -231,8 +212,8 @@ class TestDegradation:
         assert len(tier) == 1
 
     def test_v2_meta_naming_missing_arrays_is_corrupt(self, tier, tiny_workload):
-        cache = WorkloadEvaluationCache(disk_tier=tier)
-        evaluation, _ = consumed_evaluation(cache, tiny_workload)
+        cache = WorkloadEvaluationCache()
+        evaluation, _ = consumed_evaluation(cache, tiny_workload, disk_tier=tier)
         cache.flush_writebacks()
         (entry_file,) = tier._entry_files()
         # Rebuild the entry with meta claiming derived arrays the container
@@ -246,81 +227,83 @@ class TestDegradation:
             dtype=np.uint8,
         )
         entry_file.write_bytes(pack_payload(arrays, meta))
-        cold = WorkloadEvaluationCache(disk_tier=tier)
-        cold.evaluate(tiny_workload, np.random.default_rng(3))
+        cold = WorkloadEvaluationCache()
+        cold.evaluate(tiny_workload, np.random.default_rng(3), disk_tier=tier)
         assert tier.corrupt_dropped == 1 and cold.misses == 1
 
-    def test_dead_remote_degrades_with_a_single_warning(self, tmp_path, tiny_workload):
-        # Grab a port that nothing listens on.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-        probe.close()
-        disk = DiskEvaluationCache(tmp_path / "evals")
-        remote = RemoteBackend("127.0.0.1:%d" % dead_port, timeout=1.0)
-        cache = WorkloadEvaluationCache(backends=(disk, remote))
-        reference = WorkloadEvaluationCache().evaluate(
-            tiny_workload, np.random.default_rng(3)
-        )
-        with pytest.warns(RuntimeWarning, match="unreachable"):
-            first = cache.evaluate(tiny_workload, np.random.default_rng(3))
-        assert not remote.alive
-        assert np.array_equal(first.spikes, reference.spikes)
-        assert disk.stores == 1  # the healthy lower tier still works
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would fail here
-            cache.flush_writebacks()
-            other = make_workload(name="other", m=6)
-            cache.evaluate(other, np.random.default_rng(4))
-        assert cache.misses == 2
+
+# --------------------------------------------------------------------- #
+# Serde: the entry container is lossless
+# --------------------------------------------------------------------- #
+_INTEGER_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64
+)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+
+
+def _integer_elements(dtype):
+    info = np.iinfo(dtype)
+    return st.one_of(
+        st.integers(0, 1),  # bit-packable
+        st.integers(max(info.min, -300), min(info.max, 300)),  # downcastable
+        st.integers(info.min, info.max),
+        st.sampled_from([info.min, info.max]),  # e.g. the uint64 maximum
+    )
+
+
+_FLOAT_ELEMENTS = st.one_of(
+    st.integers(-(2**31), 2**31).map(float),  # integer-valued: compactable
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def payload_arrays(draw):
+    kind = draw(st.sampled_from(["bool", "integer", "float64"]))
+    shape = draw(_SHAPES)
+    if kind == "bool":
+        return draw(hnp.arrays(np.bool_, shape))
+    if kind == "integer":
+        dtype = draw(st.sampled_from(_INTEGER_DTYPES))
+        return draw(hnp.arrays(dtype, shape, elements=_integer_elements(dtype)))
+    return draw(hnp.arrays(np.float64, shape, elements=_FLOAT_ELEMENTS))
+
+
+class TestSerde:
+    @settings(max_examples=150, deadline=None)
+    @example(arrays={"a": np.array([-0.0, 1.0, 2.0])}, defer=False)
+    @given(
+        arrays=st.dictionaries(
+            st.sampled_from(["a", "spikes", "weights", "d_matches"]),
+            payload_arrays(),
+            max_size=4,
+        ),
+        defer=st.booleans(),
+    )
+    def test_pack_payload_round_trips_exactly(self, arrays, defer):
+        meta = {"schema": 2, "note": "x"}
+        data = pack_payload(arrays, meta)
+        deferred = frozenset(arrays) if defer else frozenset()
+        decoded, decoded_meta = unpack_payload(data, defer=deferred)
+        assert decoded_meta == meta
+        assert list(decoded) == list(arrays)
+        for name, array in arrays.items():
+            value = decoded[name]
+            if defer:
+                assert isinstance(value, DeferredArray)
+                assert value.shape == array.shape and value.dtype == array.dtype
+                value = value.materialise()
+            assert value.dtype == array.dtype
+            assert value.shape == array.shape
+            assert value.tobytes() == array.tobytes()
+        for cut in range(len(data)):
+            with pytest.raises((ValueError, struct.error)):
+                unpack_payload(data[:cut], defer=deferred)
 
 
 # --------------------------------------------------------------------- #
-# Remote tier (live daemon)
-# --------------------------------------------------------------------- #
-@pytest.mark.timeout(60)
-class TestRemoteTier:
-    def test_round_trip_through_the_daemon(self, cache_server, tiny_workload):
-        remote = RemoteBackend(cache_server.url)
-        cache = WorkloadEvaluationCache(backends=(remote,))
-        _, reference = consumed_evaluation(cache, tiny_workload)
-        cache.flush_writebacks()
-        stats = remote.server_stats()
-        assert stats.stores == 1 and stats.refreshes == 1 and stats.entries == 1
-
-        cold = WorkloadEvaluationCache(backends=(RemoteBackend(cache_server.url),))
-        rng = np.random.default_rng(3)
-        loaded = cold.evaluate(tiny_workload, rng)
-        assert cold.disk_hits == 1 and cold.misses == 0
-        assert "matches" in loaded.__dict__  # enriched entry over the wire
-        result = LoASSimulator().simulate_workload(tiny_workload, evaluation=loaded)
-        assert_simulations_identical(result, reference)
-        assert remote.server_stats().hits == 1
-
-    def test_promote_on_hit_fills_the_tiers_above(self, cache_server, tmp_path, tiny_workload):
-        warm = WorkloadEvaluationCache(backends=(RemoteBackend(cache_server.url),))
-        consumed_evaluation(warm, tiny_workload)
-        warm.flush_writebacks()
-        disk = DiskEvaluationCache(tmp_path / "evals")
-        stacked = WorkloadEvaluationCache(
-            backends=(disk, RemoteBackend(cache_server.url))
-        )
-        stacked.evaluate(tiny_workload, np.random.default_rng(3))
-        assert stacked.disk_hits == 1
-        assert len(disk) == 1  # remote hit promoted into the disk tier
-        assert len(stacked.memory_backend) == 1  # ... and into the LRU
-
-    def test_clear_and_stats_over_the_wire(self, cache_server, tiny_workload):
-        remote = RemoteBackend(cache_server.url)
-        cache = WorkloadEvaluationCache(backends=(remote,))
-        cache.evaluate(tiny_workload, np.random.default_rng(0))
-        assert remote.server_stats().entries == 1
-        remote.clear()
-        assert remote.server_stats().entries == 0
-
-
-# --------------------------------------------------------------------- #
-# Bit-identity across every stack configuration (acceptance)
+# Bit-identity across cache configurations (acceptance)
 # --------------------------------------------------------------------- #
 SCALE = 0.06
 NETWORKS = ("alexnet", "vgg16")  # two (workload, seed) partitions: real pool
@@ -334,16 +317,12 @@ class TestTierStackEquivalence:
         return legacy_run_networks(networks=NETWORKS, scale=SCALE, seed=SEED)
 
     @staticmethod
-    def run_stack(workers, tmp_path=None, cache_url=None, repeat=1):
+    def run_stack(workers, tier=None, repeat=1, mp_context=None):
         from repro.experiments.sweeps import network_sweep_plan
         from repro.runner import SweepRunner
 
         plan = network_sweep_plan(networks=NETWORKS, scale=SCALE, seed=SEED)
-        runner = SweepRunner(
-            workers=workers,
-            cache_dir=None if tmp_path is None else tmp_path / "evals",
-            cache_url=cache_url,
-        )
+        runner = SweepRunner(workers=workers, cache_dir=tier, mp_context=mp_context)
         nested = None
         for _ in range(repeat):
             clear_default_cache()
@@ -355,47 +334,17 @@ class TestTierStackEquivalence:
     def test_memory_only_matches_legacy(self, reference, workers):
         assert_sweeps_identical(reference, self.run_stack(workers))
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_memory_disk_matches_legacy(self, reference, workers, tmp_path):
-        # repeat=2: the second run is served from v2 disk entries.
-        assert_sweeps_identical(reference, self.run_stack(workers, tmp_path, repeat=2))
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_memory_disk_remote_matches_legacy(
-        self, reference, workers, tmp_path, cache_server
-    ):
+    @pytest.mark.parametrize(
+        "workers, mp_context", [(0, None), (2, "fork"), (2, "spawn")]
+    )
+    def test_memory_disk_matches_legacy(self, reference, workers, mp_context, tmp_path):
+        tier = DiskEvaluationCache(tmp_path / "evals")
+        # repeat=2: the second run is served from the disk entries.
         assert_sweeps_identical(
-            reference,
-            self.run_stack(workers, tmp_path, cache_url=cache_server.url, repeat=2),
+            reference, self.run_stack(workers, tier, repeat=2, mp_context=mp_context)
         )
-
-    def test_remote_only_warm_run_matches_legacy(self, reference, cache_server):
-        # Populate the daemon, then serve a fresh process-shaped run from it.
-        assert_sweeps_identical(
-            reference, self.run_stack(0, cache_url=cache_server.url, repeat=2)
-        )
-        remote = RemoteBackend(cache_server.url)
-        assert remote.server_stats().hits > 0
-
-
-class TestTieredCacheUnit:
-    def test_promote_on_hit_and_write_through(self):
-        upper, lower = MemoryBackend(4), MemoryBackend(4)
-        stack = TieredCache((upper, lower))
-        evaluation = WorkloadEvaluationCache().evaluate(
-            make_workload(), np.random.default_rng(0)
-        )
-        entry = CacheEntry(evaluation, np.random.default_rng(0).bit_generator.state)
-        stack.put("key", entry)
-        assert len(upper) == 1 and len(lower) == 1
-        upper.clear()
-        found, level = stack.get("key")
-        assert found is entry and level == 1
-        assert len(upper) == 1  # promoted back into the top tier
-        found, level = stack.get("key")
-        assert level == 0
-
-    def test_miss_returns_sentinel_level(self):
-        stack = TieredCache((MemoryBackend(2),))
-        entry, level = stack.get("absent")
-        assert entry is None and level == -1
+        assert len(tier) > 0
+        if workers:
+            # The pool pickled the tier into its tasks, so the workers wrote
+            # every entry; this process's copy never stored one.
+            assert tier.stores == 0
