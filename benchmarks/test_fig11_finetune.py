@@ -1,15 +1,14 @@
 """Benchmark regenerating Figure 11: fine-tuned preprocessing accuracy."""
 
-from repro.experiments import format_fig11, run_fig11
+from repro.api import Session
+from repro.experiments import format_fig11
 
-from conftest import run_once
 
-
-def test_fig11_finetuned_preprocessing(benchmark):
+def test_fig11_finetuned_preprocessing(run_once):
     """Masking costs accuracy; a few fine-tuning epochs recover it."""
     data = run_once(
-        benchmark,
-        run_fig11,
+        Session().run,
+        "fig11-preprocessing",
         num_samples=400,
         num_features=32,
         num_classes=4,
@@ -17,9 +16,9 @@ def test_fig11_finetuned_preprocessing(benchmark):
         epochs=12,
         finetune_epochs=(1, 5, 10),
         seed=0,
-    )
+    ).payload
     assert data["mask"] <= data["origin"] + 1e-9
     assert data["ft_e10"] >= data["mask"] - 0.02
     assert data["ft_e10"] >= data["origin"] - 0.10
     assert data["ft_e10"] >= data["ft_e1"] - 0.05
-    print("\n" + format_fig11())
+    print("\n" + format_fig11(data))

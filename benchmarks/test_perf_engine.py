@@ -1,9 +1,10 @@
 """Performance tracking for the evaluation engine and the cache tiers.
 
-Times the Figure 12/13 network sweep (``run_networks(scale=0.25, seed=1)``)
-in five regimes and records the wall-clock numbers in ``BENCH_engine.json``
-at the repository root, so the performance trajectory is tracked from the PR
-that introduced the engine onward:
+Times the Figure 12/13 network sweep
+(``Session().run("networks", scale=0.25, seed=1)``) in five regimes and
+records the wall-clock numbers in ``BENCH_engine.json`` at the repository
+root, so the performance trajectory is tracked from the PR that introduced
+the engine onward:
 
 * **cold**  -- serial, empty caches: tensor generation + statistics +
   simulator cost models (with cross-simulator sharing),
@@ -37,8 +38,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.api import Session
 from repro.engine import DiskEvaluationCache, clear_default_cache, default_cache
-from repro.experiments.sweeps import run_networks
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -58,7 +59,7 @@ _BURN = (
 
 def _time_run(**kwargs) -> float:
     start = time.perf_counter()
-    run_networks(scale=0.25, seed=1, **kwargs)
+    Session().run("networks", scale=0.25, seed=1, **kwargs)
     return time.perf_counter() - start
 
 
@@ -157,7 +158,7 @@ def test_perf_engine_cold_vs_warm():
         shutil.rmtree(tier_root, ignore_errors=True)
 
     record = {
-        "benchmark": "run_networks(scale=0.25, seed=1)",
+        "benchmark": 'Session().run("networks", scale=0.25, seed=1)',
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
@@ -253,7 +254,7 @@ def _usable_cpus() -> int:
 
 
 def _blas_pinned() -> bool:
-    """Whether the single-thread BLAS pin (see ``conftest.py``) held.
+    """Whether the single-thread BLAS pin (see the root ``conftest.py``) held.
 
     ``False`` labels the recorded ratios as potentially thread-count
     dependent (the conftest pin is a no-op when numpy was imported before

@@ -15,13 +15,12 @@ The same surface is scriptable from a shell via ``python -m repro``
 (:mod:`repro.api.cli`): ``list``, ``describe``, ``run`` and ``cache``
 subcommands.
 
-The legacy ``repro.experiments.run_*`` functions and
-``repro.runner.run_scenario`` still work but are deprecation shims over
-:func:`default_session`.
+:meth:`Session.run` is the only way to run a scenario; the
+``repro.experiments.format_*`` functions render a payload it returned.
 """
 
 from .result import SCHEMA_VERSION, PartitionResult, ScenarioResult
-from .session import ScenarioStream, Session, default_session
+from .session import ScenarioStream, Session
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -29,5 +28,4 @@ __all__ = [
     "ScenarioResult",
     "ScenarioStream",
     "Session",
-    "default_session",
 ]

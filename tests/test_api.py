@@ -3,13 +3,12 @@
 The acceptance contract of the API redesign:
 
 * ``Session.stream()`` yields partitions incrementally and order-
-  independently; the merged result is bit-identical to ``Session.run()``
-  and to the legacy ``run_scenario`` path, for sweep scenarios in both
-  serial and 2-worker modes,
+  independently; the merged result is bit-identical to ``Session.run()``,
+  for sweep scenarios in both serial and 2-worker modes,
 * ``ScenarioResult.to_json()`` -> ``from_json()`` round-trips (including
   payloads of raw ``SimulationResult`` dataclasses),
-* legacy ``run_*`` shims emit ``DeprecationWarning`` but return unchanged
-  values,
+* every exported name resolves, and none of the removed entry points is
+  exported,
 * registry error paths (unknown scenario, duplicate registration, unknown
   simulator key) raise clear ``KeyError`` / ``ValueError`` messages.
 """
@@ -17,6 +16,7 @@ The acceptance contract of the API redesign:
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from repro.api import (
     PartitionResult,
     ScenarioResult,
     Session,
-    default_session,
 )
 from repro.api.cli import main as cli_main
 from repro.engine import (
@@ -37,7 +36,7 @@ from repro.engine import (
     LayerEvaluation,
     WorkloadEvaluationCache,
 )
-from repro.runner import Scenario, SimulatorSpec, register_scenario, run_scenario
+from repro.runner import Scenario, SimulatorSpec, register_scenario
 from repro.runner.scenario import _SCENARIOS
 from repro.snn.workloads import LayerWorkload, SparsityProfile
 from repro.snn.network import LayerShape
@@ -55,12 +54,12 @@ SWEEP_CASES = (
 
 
 # --------------------------------------------------------------------- #
-# Streaming == batch == legacy, serial and pooled
+# Streaming == batch, serial and pooled
 # --------------------------------------------------------------------- #
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("name,params", SWEEP_CASES)
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_stream_matches_run_and_legacy(self, name, params, workers):
+    def test_stream_matches_run(self, name, params, workers):
         session = Session()
         batch = session.run(name, workers=workers, **params)
 
@@ -79,14 +78,9 @@ class TestStreamingEquivalence:
             assert partition.seed == SEED
             assert len(partition.results) == len(partition.cells)
 
-        # Merged payload is bit-identical to the batch call...
+        # Merged payload is bit-identical to the batch call.
         assert stream.result.payload == batch.payload
         assert stream.result.params == batch.params
-
-        # ...and to the legacy run_scenario path.
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario(name, workers=workers, **params)
-        assert legacy == batch.payload
 
     def test_stream_result_requires_exhaustion(self):
         session = Session()
@@ -140,11 +134,8 @@ class TestSessionPolicy:
         assert result.provenance["workers"] == 2
         assert result.params["cache_dir"] == str(tmp_path / "tier")
         assert ScenarioResult.from_json(result.to_json()) == result
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments import run_fig18
-
-            legacy = run_fig18(network="alexnet", scale=SCALE, seed=SEED)
-        assert result.payload == legacy
+        plain = Session().run("fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED)
+        assert result.payload == plain.payload
 
     def test_abandoned_stream_releases_disk_tier_on_close(self, tmp_path):
         from repro.engine import default_cache
@@ -217,9 +208,6 @@ class TestSessionPolicy:
         # The run went through the session's own DiskEvaluationCache object
         # (not a rebuilt one), so its counters saw the stores.
         assert session.disk_tier.stats().stores >= 1
-
-    def test_default_session_is_a_singleton(self):
-        assert default_session() is default_session()
 
     def test_stream_provenance_ignores_work_before_first_partition(self):
         session = Session()
@@ -339,30 +327,24 @@ class TestScenarioResultSchema:
 
 
 # --------------------------------------------------------------------- #
-# Legacy shims
+# Export hygiene
 # --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_run_networks_warns_but_returns_unchanged_payload(self):
-        from repro.experiments import run_networks
+#: The entry points removed in 0.5.0: the per-figure and per-table runners,
+#: the sweep and scenario runners, and the module-level default session.
+REMOVED_NAME = re.compile(r"(run|default)_(fig\d+|table\d|networks|layers|scenario|session)")
 
-        session_payload = Session().run(
-            "networks", networks=("alexnet",), scale=SCALE, seed=SEED
-        ).payload
-        with pytest.warns(DeprecationWarning, match="run_networks"):
-            legacy = run_networks(networks=("alexnet",), scale=SCALE, seed=SEED)
-        assert legacy == session_payload
 
-    def test_run_table2_warns_but_returns_unchanged_payload(self):
-        from repro.experiments import run_table2
+class TestExports:
+    @pytest.mark.parametrize(
+        "module_name", ["repro", "repro.api", "repro.runner", "repro.experiments"]
+    )
+    def test_all_resolves_and_omits_removed_entry_points(self, module_name):
+        import importlib
 
-        session_payload = Session().run("table2-workloads", scale=0.05).payload
-        with pytest.warns(DeprecationWarning, match="run_table2"):
-            legacy = run_table2(scale=0.05)
-        assert legacy == session_payload
-
-    def test_run_scenario_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            run_scenario("table1-capabilities")
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            getattr(module, name)  # AttributeError names the stale export
+        assert [name for name in dir(module) if REMOVED_NAME.fullmatch(name)] == []
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """Orchestration equivalence: the runner reproduces the serial loops exactly.
 
-Every refactored experiment ``run(...)`` is checked field-by-field against a
-hand-rolled serial reference that mirrors the pre-refactor implementation
-(per-simulator network walks with fresh equal-seed generators), in both
-serial and 2-worker modes.  Plan/partition structure and the scenario
+Every experiment scenario run through ``Session.run`` is checked
+field-by-field against a hand-rolled serial reference that mirrors the
+pre-refactor implementation (per-simulator network walks with fresh
+equal-seed generators), in both serial and 2-worker modes.  Plan/partition structure and the scenario
 registry are covered alongside.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.baselines import (
     GammaANN,
     GammaSNN,
@@ -24,19 +25,7 @@ from repro.baselines import (
 )
 from repro.core import DEFAULT_RNG_SEED, LoASConfig, LoASSimulator
 from repro.engine import AnnLayerEvaluation
-from repro.experiments import (
-    list_scenarios,
-    run_fig5,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig17,
-    run_fig18,
-    run_fig19,
-    run_layers,
-    run_networks,
-    run_scenario,
-)
+from repro.experiments import list_scenarios
 from repro.metrics.results import aggregate_results
 from repro.runner import (
     SimulatorSpec,
@@ -236,18 +225,24 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_networks_matches_legacy(self, workers):
         reference = legacy_run_networks()
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED, workers=workers)
+        actual = Session().run(
+            "networks", networks=NETWORKS, scale=SCALE, seed=SEED, workers=workers
+        ).payload
         assert_sweeps_identical(reference, actual)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_layers_matches_legacy(self, workers):
         reference = legacy_run_layers()
-        actual = run_layers(LAYERS, scale=SCALE, seed=SEED, workers=workers)
+        actual = Session().run(
+            "layers", layers=LAYERS, scale=SCALE, seed=SEED, workers=workers
+        ).payload
         assert_sweeps_identical(reference, actual)
 
     def test_run_networks_without_finetuned(self):
         reference = legacy_run_networks(include_finetuned=False)
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED, include_finetuned=False)
+        actual = Session().run(
+            "networks", networks=NETWORKS, scale=SCALE, seed=SEED, include_finetuned=False
+        ).payload
         assert_sweeps_identical(reference, actual)
 
     @pytest.mark.parametrize("workers", [None, 2])
@@ -277,10 +272,10 @@ class TestSweepEquivalence:
 
     def test_networks_arch_parameter_default_is_bit_identical(self):
         reference = legacy_run_networks()
-        actual = run_networks(NETWORKS, scale=SCALE, seed=SEED)
-        via_arch = run_scenario(
+        actual = Session().run("networks", networks=NETWORKS, scale=SCALE, seed=SEED).payload
+        via_arch = Session().run(
             "networks", networks=NETWORKS, scale=SCALE, seed=SEED, arch="loas-32nm"
-        )
+        ).payload
         assert_sweeps_identical(reference, actual)
         assert_sweeps_identical(reference, via_arch)
 
@@ -288,7 +283,9 @@ class TestSweepEquivalence:
 class TestExperimentEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig5_matches_legacy(self, workers):
-        assert legacy_run_fig5() == run_fig5(("V-L8",), scale=SCALE, seed=SEED, workers=workers)
+        assert legacy_run_fig5() == Session().run(
+            "fig5-psum-traffic", layers=("V-L8",), scale=SCALE, seed=SEED, workers=workers
+        ).payload
 
     def test_fig12_matches_legacy_formula(self):
         raw = legacy_run_networks()
@@ -304,7 +301,9 @@ class TestExperimentEquivalence:
                 }
                 for accel, result in per.items()
             }
-        assert reference == run_fig12(NETWORKS, scale=SCALE, seed=SEED)
+        assert reference == Session().run(
+            "fig12-overall", networks=NETWORKS, scale=SCALE, seed=SEED
+        ).payload
 
     def test_fig13_matches_legacy_formula(self):
         raw = legacy_run_networks()
@@ -318,7 +317,9 @@ class TestExperimentEquivalence:
             }
             for network, per in raw.items()
         }
-        assert reference == run_fig13(NETWORKS, scale=SCALE, seed=SEED)
+        assert reference == Session().run(
+            "fig13-traffic", networks=NETWORKS, scale=SCALE, seed=SEED
+        ).payload
 
     def test_fig14_matches_legacy_formula(self):
         raw = legacy_run_layers()
@@ -339,18 +340,26 @@ class TestExperimentEquivalence:
                     "total": result.dram_bytes / loas_total,
                     "normalized_miss_rate": result.sram_miss_rate / loas_miss,
                 }
-        assert reference == run_fig14(LAYERS, scale=SCALE, seed=SEED)
+        assert reference == Session().run(
+            "fig14-breakdown", layers=LAYERS, scale=SCALE, seed=SEED
+        ).payload
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig17_matches_legacy(self, workers):
-        assert legacy_run_fig17() == run_fig17(scale=0.1, seed=SEED, workers=workers)
+        assert legacy_run_fig17() == Session().run(
+            "fig17-scalability", scale=0.1, seed=SEED, workers=workers
+        ).payload
 
     def test_fig18_matches_legacy(self):
-        assert legacy_run_fig18() == run_fig18("alexnet", scale=SCALE, seed=SEED)
+        assert legacy_run_fig18() == Session().run(
+            "fig18-snn-vs-ann", network="alexnet", scale=SCALE, seed=SEED
+        ).payload
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_fig19_matches_legacy(self, workers):
-        assert legacy_run_fig19() == run_fig19("alexnet", scale=SCALE, seed=SEED, workers=workers)
+        assert legacy_run_fig19() == Session().run(
+            "fig19-dense-baselines", network="alexnet", scale=SCALE, seed=SEED, workers=workers
+        ).payload
 
 
 # --------------------------------------------------------------------- #
@@ -460,25 +469,21 @@ class TestScenarioRegistry:
         ):
             assert expected in names
 
-    def test_run_scenario_matches_run_function(self):
-        via_scenario = run_scenario("fig13-traffic", networks=NETWORKS, scale=SCALE, seed=SEED)
-        assert via_scenario == run_fig13(NETWORKS, scale=SCALE, seed=SEED)
-
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
-            run_scenario("fig99-does-not-exist")
+            Session().run("fig99-does-not-exist")
 
     def test_bespoke_scenario_runs(self):
-        data = run_scenario("table1-capabilities")
+        data = Session().run("table1-capabilities").payload
         assert "LoAS" in data
 
     def test_bespoke_scenario_rejects_unsupported_runner_options(self):
         # fig16 has no sweep behind it: a requested pool or disk tier must
         # fail loudly instead of being silently dropped.
         with pytest.raises(TypeError):
-            run_scenario("fig16-temporal", workers=2)
+            Session().run("fig16-temporal", workers=2)
         with pytest.raises(TypeError):
-            run_scenario("table1-capabilities", cache_dir="/tmp/nowhere")
+            Session().run("table1-capabilities", cache_dir="/tmp/nowhere")
 
 
 class TestDefaultSeed:
@@ -492,7 +497,7 @@ class TestDefaultSeed:
 
 class TestRunnerCacheDir:
     def test_sweep_with_disk_tier_matches_plain_sweep(self, tmp_path):
-        plain = run_layers(LAYERS, scale=SCALE, seed=SEED)
+        plain = Session().run("layers", layers=LAYERS, scale=SCALE, seed=SEED).payload
         plan_runner = SweepRunner(cache_dir=tmp_path / "tier")
         from repro.experiments.sweeps import layer_sweep_plan
 
